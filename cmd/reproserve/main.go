@@ -189,7 +189,13 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
-		specs, err := parseAggList(r.URL.Query().Get("aggs"), atoiDefault(r.URL.Query().Get("levels"), 0))
+		q := r.URL.Query()
+		levels, err := intParam(q, "levels", 0)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		specs, err := parseAggList(q.Get("aggs"), levels)
 		if err != nil {
 			httpError(w, fmt.Errorf("%w: %v", serve.ErrBadQuery, err))
 			return
@@ -228,8 +234,22 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 	})
 
 	mux.HandleFunc("GET /window", func(w http.ResponseWriter, r *http.Request) {
-		col := atoiDefault(r.URL.Query().Get("col"), 0)
-		levels := atoiDefault(r.URL.Query().Get("levels"), 0)
+		q := r.URL.Query()
+		col, err := intParam(q, "col", 0)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		levels, err := intParam(q, "levels", 0)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		limit, err := intParam(q, "limit", 16)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
 		res, err := srv.Do(serve.WindowTotals(col, levels))
 		if err != nil {
 			httpError(w, err)
@@ -240,7 +260,6 @@ func newHandler(srv *serve.Server, pc *proc.Cluster) http.Handler {
 			httpError(w, err)
 			return
 		}
-		limit := atoiDefault(r.URL.Query().Get("limit"), 16)
 		shown := totals
 		if limit >= 0 && limit < len(shown) {
 			shown = shown[:limit]

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +143,37 @@ func TestWindowEndpoint(t *testing.T) {
 	}
 	if len(wr.Totals) != 4 {
 		t.Fatalf("limit ignored: %d totals echoed", len(wr.Totals))
+	}
+}
+
+// TestIntParamsStrict: an absent integer parameter takes its default,
+// a present but malformed one is a 400 that names the parameter.
+func TestIntParamsStrict(t *testing.T) {
+	ts := testServer(t, serve.Options{})
+	cases := []struct {
+		path   string
+		status int
+		names  string // parameter the 400 body must name
+	}{
+		{"/window", http.StatusOK, ""},
+		{"/window?col=1&levels=2&limit=3", http.StatusOK, ""},
+		{"/window?col=abc", http.StatusBadRequest, "col"},
+		{"/window?col=", http.StatusBadRequest, "col"},
+		{"/window?levels=2x", http.StatusBadRequest, "levels"},
+		{"/window?limit=1.5", http.StatusBadRequest, "limit"},
+		{"/query?aggs=SUM(0)", http.StatusOK, ""},
+		{"/query?aggs=SUM(0)&levels=2", http.StatusOK, ""},
+		{"/query?aggs=SUM(0)&levels=two", http.StatusBadRequest, "levels"},
+	}
+	for _, tc := range cases {
+		status, body := get(t, ts.URL+tc.path)
+		if status != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.path, status, tc.status, body)
+			continue
+		}
+		if tc.names != "" && !strings.Contains(string(body), tc.names+"=") {
+			t.Errorf("%s: 400 body %q does not name parameter %s", tc.path, body, tc.names)
+		}
 	}
 }
 

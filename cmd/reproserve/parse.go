@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
 
+	"repro/internal/serve"
 	"repro/internal/sqlagg"
 )
 
@@ -48,15 +50,17 @@ func parseAggList(s string, levels int) ([]sqlagg.AggSpec, error) {
 	return specs, nil
 }
 
-// atoiDefault parses s as an int, returning def for empty or
-// unparsable input (validation happens in the serving layer).
-func atoiDefault(s string, def int) int {
-	if s == "" {
-		return def
+// intParam reads the integer query parameter name: def when it is
+// absent, an ErrBadQuery naming the parameter when it is present but
+// not an integer — a malformed value must never silently become a
+// different, valid query.
+func intParam(q url.Values, name string, def int) (int, error) {
+	if !q.Has(name) {
+		return def, nil
 	}
-	v, err := strconv.Atoi(s)
+	v, err := strconv.Atoi(q.Get(name))
 	if err != nil {
-		return def
+		return 0, fmt.Errorf("%w: parameter %s=%q is not an integer", serve.ErrBadQuery, name, q.Get(name))
 	}
-	return v
+	return v, nil
 }

@@ -1,16 +1,14 @@
 package dist
 
-import "time"
-
-// Support surface for external Transport implementations and cluster
-// runtimes — concretely internal/dist/proc, which runs the protocols of
-// this package across separate OS processes. Everything here is a thin
-// exported handle over the battle-tested internals: the multi-process
-// runtime reuses the same chunking, reassembly, mailbox, and wire-error
-// machinery the in-process transports do, so cross-process runs inherit
-// their invariants (uniform chunk stride, per-(from, seq) dedup,
-// budget-bounded reassembly, sentinel-preserving wire errors) instead
-// of reimplementing them.
+// Support surface for cluster runtimes — concretely internal/dist/proc,
+// which runs the protocols of this package across separate OS
+// processes over TCPEndpoint, the same socket code the in-process
+// TCPTransport runs. Everything here is a thin exported handle over the
+// internals: the multi-process control plane reuses the same chunking,
+// reassembly, and wire-error machinery the data plane does, so
+// cross-process runs inherit their invariants (uniform chunk stride,
+// per-(from, seq) dedup, budget-bounded reassembly, sentinel-preserving
+// wire errors) instead of reimplementing them.
 
 // SplitFrame splits one logical frame into its wire chunks: every chunk
 // carries at most maxChunk payload bytes, all but the last exactly
@@ -50,53 +48,6 @@ func (a *Reassembler) Accept(f Frame) (msg Frame, complete, fresh bool, err erro
 func (a *Reassembler) Missing(from int, seq uint32) []uint32 {
 	return a.r.missing(from, seq)
 }
-
-// Mailboxes is the shared receive side of the built-in transports — one
-// unbounded inbox per node plus a close signal — exported so external
-// transports (the multi-process runtime's socket transport) get
-// Recv/Close semantics identical to ChanTransport and TCPTransport by
-// construction. Inboxes are unbounded on purpose: any fixed capacity is
-// a deadlock class under chunk floods; memory defense is the reassembly
-// budget, not backpressure.
-type Mailboxes struct {
-	m *mailboxes
-}
-
-// NewMailboxes returns the receive side for an n-node cluster.
-func NewMailboxes(n int) *Mailboxes { return &Mailboxes{m: newMailboxes(n)} }
-
-// Deliver enqueues f for node f.To. It never blocks; after Shutdown it
-// returns ErrClosed.
-func (mb *Mailboxes) Deliver(f Frame) error { return mb.m.deliver(f) }
-
-// DeliverBatch enqueues a run of frames sharing one destination under a
-// single inbox lock. All frames must have the same To.
-func (mb *Mailboxes) DeliverBatch(fs []Frame) error { return mb.m.deliverBatch(fs) }
-
-// Recv returns the next frame addressed to node id; timeout <= 0 blocks
-// until a frame arrives or Shutdown.
-func (mb *Mailboxes) Recv(id int, timeout time.Duration) (Frame, error) {
-	return mb.m.Recv(id, timeout)
-}
-
-// Nodes returns the cluster size.
-func (mb *Mailboxes) Nodes() int { return mb.m.Nodes() }
-
-// Shutdown unblocks all pending receives and fails later delivers with
-// ErrClosed. Idempotent.
-func (mb *Mailboxes) Shutdown() { mb.m.close() }
-
-// Done is closed when Shutdown has been called — for send paths that
-// must map post-close failures to ErrClosed the way the built-in
-// transports do.
-func (mb *Mailboxes) Done() <-chan struct{} { return mb.m.closed }
-
-// RetainPayload returns f with its payload copied into a buffer the
-// frame owns — the copy-on-retain side of the ReadFrameBuf handoff
-// rule, for external socket read loops (the multi-process runtime's
-// data and control planes) that reuse a connection read buffer and hand
-// frames to a retaining component such as Mailboxes or a Reassembler.
-func RetainPayload(f Frame) Frame { return retainPayload(f) }
 
 // EncodeErr flattens an error into a KindError payload, preserving the
 // wire-crossing sentinels (ErrStraggler, ErrBadFrame, ErrChunkBudget,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 )
 
 // Tests of the exported support surface (export.go) the multi-process
@@ -44,49 +43,6 @@ func TestSplitFrameReassemblerRoundTrip(t *testing.T) {
 	// A retransmission of the completed stream is swallowed.
 	if _, complete, fresh, err := asm.Accept(chunks[0]); err != nil || complete || fresh {
 		t.Fatalf("post-completion duplicate: complete=%v fresh=%v err=%v", complete, fresh, err)
-	}
-}
-
-func TestMailboxesExported(t *testing.T) {
-	mb := NewMailboxes(2)
-	if mb.Nodes() != 2 {
-		t.Fatalf("Nodes = %d, want 2", mb.Nodes())
-	}
-	if err := mb.Deliver(Frame{Kind: KindPartial, To: 1, Chunks: 1, Payload: []byte{1}}); err != nil {
-		t.Fatalf("Deliver: %v", err)
-	}
-	batch := []Frame{
-		{Kind: KindPartial, To: 1, Seq: 1, Chunks: 1},
-		{Kind: KindPartial, To: 1, Seq: 2, Chunks: 1},
-	}
-	if err := mb.DeliverBatch(batch); err != nil {
-		t.Fatalf("DeliverBatch: %v", err)
-	}
-	for want := 0; want < 3; want++ {
-		if _, err := mb.Recv(1, time.Second); err != nil {
-			t.Fatalf("Recv %d: %v", want, err)
-		}
-	}
-	if _, err := mb.Recv(1, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("empty Recv: %v, want ErrTimeout", err)
-	}
-	select {
-	case <-mb.Done():
-		t.Fatal("Done closed before Shutdown")
-	default:
-	}
-	mb.Shutdown()
-	mb.Shutdown() // idempotent
-	select {
-	case <-mb.Done():
-	default:
-		t.Fatal("Done not closed after Shutdown")
-	}
-	if err := mb.Deliver(Frame{To: 0, Chunks: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Deliver after Shutdown: %v, want ErrClosed", err)
-	}
-	if _, err := mb.Recv(0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Recv after Shutdown: %v, want ErrClosed", err)
 	}
 }
 

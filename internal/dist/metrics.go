@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/obs"
+import (
+	"strconv"
+
+	"repro/internal/obs"
+)
 
 // The data plane's wire counters, registered on the process-global
 // obs.Default registry. Handles are package-level so the hot paths
@@ -19,7 +23,7 @@ var (
 	mBytesIn = obs.Default.Counter("repro_dist_wire_bytes_in_total",
 		"Wire bytes read, headers and checksums included.")
 	mChanFrames = obs.Default.Counter("repro_dist_chan_frames_total",
-		"Frames delivered by reference over the in-process chan transport.")
+		"Frames delivered by reference, not through a socket (chan transport sends and TCP self-delivery).")
 	mChunksSplit = obs.Default.Counter("repro_dist_chunks_split_total",
 		"Chunks produced by splitting logical messages for the wire.")
 	mRetransmits = obs.Default.Counter("repro_dist_retransmit_chunks_total",
@@ -29,6 +33,51 @@ var (
 	mReasmRejects = obs.Default.Counter("repro_dist_reassembly_rejects_total",
 		"Messages rejected by the reassembly memory budget.")
 )
+
+// peerCounters is a TCP endpoint's pre-resolved per-peer data-plane
+// series: frames and payload bytes exchanged with each peer id, as
+// repro_proc_peer_*_total{peer="N"} — the proc prefix is kept so
+// existing scrapes of worker processes keep matching. Resolved once at
+// endpoint construction so the send/receive paths touch only atomics.
+type peerCounters struct {
+	framesOut []*obs.Counter
+	bytesOut  []*obs.Counter
+	framesIn  []*obs.Counter
+	bytesIn   []*obs.Counter
+}
+
+func newPeerCounters(n int) *peerCounters {
+	pc := &peerCounters{
+		framesOut: make([]*obs.Counter, n),
+		bytesOut:  make([]*obs.Counter, n),
+		framesIn:  make([]*obs.Counter, n),
+		bytesIn:   make([]*obs.Counter, n),
+	}
+	for id := 0; id < n; id++ {
+		peer := `{peer="` + strconv.Itoa(id) + `"}`
+		pc.framesOut[id] = obs.Default.Counter("repro_proc_peer_frames_out_total"+peer,
+			"Data-plane frames sent to each peer id.")
+		pc.bytesOut[id] = obs.Default.Counter("repro_proc_peer_payload_bytes_out_total"+peer,
+			"Data-plane payload bytes sent to each peer id.")
+		pc.framesIn[id] = obs.Default.Counter("repro_proc_peer_frames_in_total"+peer,
+			"Data-plane frames received from each peer id.")
+		pc.bytesIn[id] = obs.Default.Counter("repro_proc_peer_payload_bytes_in_total"+peer,
+			"Data-plane payload bytes received from each peer id.")
+	}
+	return pc
+}
+
+func (pc *peerCounters) sent(to int, payloadLen int) {
+	pc.framesOut[to].Inc()
+	pc.bytesOut[to].Add(uint64(payloadLen))
+}
+
+func (pc *peerCounters) received(from int, payloadLen int) {
+	if from >= 0 && from < len(pc.framesIn) {
+		pc.framesIn[from].Inc()
+		pc.bytesIn[from].Add(uint64(payloadLen))
+	}
+}
 
 // WireStats is a point-in-time read of the process's data-plane wire
 // counters. Workers encode one into each heartbeat ping; the

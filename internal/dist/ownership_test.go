@@ -15,7 +15,7 @@ import (
 // TestReadFrameBufOwnership reads frames through one reused buffer,
 // mutates the read buffer after decode, and asserts that (a) the
 // decoded payload aliases the buffer — the hazard the rule exists for —
-// and (b) a payload retained per the rule (RetainPayload) is unaffected
+// and (b) a payload retained per the rule (retainPayload) is unaffected
 // by both the mutation and the next read.
 func TestReadFrameBufOwnership(t *testing.T) {
 	p1 := bytes.Repeat([]byte{0xAA}, 1024)
@@ -32,7 +32,7 @@ func TestReadFrameBufOwnership(t *testing.T) {
 	if !bytes.Equal(f1.Payload, p1) {
 		t.Fatal("first frame decoded with wrong payload")
 	}
-	retained := RetainPayload(f1)
+	retained := retainPayload(f1)
 
 	// Mutate the read buffer after decode: the un-retained payload must
 	// follow the buffer (it aliases it)...
@@ -80,17 +80,19 @@ func TestReadFrameBufOwnership(t *testing.T) {
 }
 
 // TestTCPReadPathRetainsPayloads sends a stream of same-size frames
-// through one TCP connection pair — so the receiving read loop reuses
-// one read buffer for all of them — receives and retains every payload,
-// and asserts none was clobbered by a later frame's arrival. Without
-// copy-on-retain at the mailbox boundary, frame k+1 overwrites frame
-// k's payload bytes in place.
+// from one TCPEndpoint to another — the socket code a worker process
+// runs — so the receiving read loop reuses one read buffer for all of
+// them, receives and retains every payload, and asserts none was
+// clobbered by a later frame's arrival. Without copy-on-retain at the
+// mailbox boundary, frame k+1 overwrites frame k's payload bytes in
+// place.
 func TestTCPReadPathRetainsPayloads(t *testing.T) {
 	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatalf("NewTCPTransport: %v", err)
 	}
 	defer tr.Close()
+	sender, receiver := tr.nodes[0], tr.nodes[1]
 
 	const frames = 64
 	const size = 512
@@ -98,14 +100,14 @@ func TestTCPReadPathRetainsPayloads(t *testing.T) {
 	for i := range want {
 		p := bytes.Repeat([]byte{byte(i + 1)}, size)
 		want[i] = p
-		if err := tr.Send(Frame{Kind: KindGroups, From: 0, To: 1, Seq: uint32(i), Chunks: 1, Payload: p}); err != nil {
+		if err := sender.Send(Frame{Kind: KindGroups, From: 0, To: 1, Seq: uint32(i), Chunks: 1, Payload: p}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 
 	got := make(map[uint32][]byte, frames)
 	for len(got) < frames {
-		f, err := tr.Recv(1, 5*time.Second)
+		f, err := receiver.Recv(1, 5*time.Second)
 		if err != nil {
 			t.Fatalf("recv after %d frames: %v", len(got), err)
 		}
@@ -126,11 +128,11 @@ func TestTCPReadPathRetainsPayloads(t *testing.T) {
 // TestRetainPayloadEmpty: payload-free frames take the copy-free path
 // and stay payload-free.
 func TestRetainPayloadEmpty(t *testing.T) {
-	f := RetainPayload(Frame{Kind: KindResend, From: 1, To: 0, Seq: 3})
+	f := retainPayload(Frame{Kind: KindResend, From: 1, To: 0, Seq: 3})
 	if f.Payload != nil {
-		t.Fatalf("RetainPayload invented a payload: %v", f.Payload)
+		t.Fatalf("retainPayload invented a payload: %v", f.Payload)
 	}
 	if f.Kind != KindResend || f.From != 1 || f.To != 0 || f.Seq != 3 {
-		t.Fatal("RetainPayload changed frame fields")
+		t.Fatal("retainPayload changed frame fields")
 	}
 }

@@ -38,7 +38,7 @@ import (
 //     aggregation protocol over real sockets — the root also ships the
 //     finalized result back as KindResult,
 //  4. on a later KindPeers epoch re-points its peer table at a
-//     replacement's fresh listener (the reconnect-safe transport
+//     replacement's fresh listener (the dist.TCPEndpoint
 //     re-dials; per-chunk resends recover anything in flight),
 //  5. tears the job's data plane down at KindJobDone and waits for the
 //     next job, until KindShutdown.
@@ -290,6 +290,13 @@ func backoffDelay(n int) time.Duration {
 	}
 	return d*3/4 + time.Duration(rand.Int64N(int64(d)/2))
 }
+
+// Control-connection buffer size and dial timeout, matching the data
+// plane's.
+const (
+	sockBufSize = 64 << 10
+	dialTimeout = 5 * time.Second
+)
 
 // errCtlLost marks a lost supervisor connection — the one failure the
 // session layer answers with backoff and re-attach instead of exiting.
@@ -588,7 +595,7 @@ type workerJob struct {
 	keys    []uint32
 	cols    [][]float64
 	ln      net.Listener
-	tr      *nodeTransport
+	tr      *dist.TCPEndpoint
 	started bool
 	done    chan struct{} // closed when the protocol goroutine finishes
 }
@@ -826,24 +833,28 @@ func sliceRows(keys []uint32, cols [][]float64, n, id int) ([]uint32, [][]float6
 // the protocol in a goroutine.
 func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []string) error {
 	js := job.spec
-	// The injected faults fire only in a slot's first incarnation: a
-	// substitute must not inherit the suicide it is substituting for.
-	killAfter := 0
-	if conf.KillAfter > 0 && conf.KillNode == id && js.incarnation == 0 {
-		killAfter = conf.KillAfter
-	}
-	tr, err := newNodeTransport(id, append([]string(nil), addrs...), job.ln, killAfter)
+	tr, err := dist.NewTCPEndpoint(id, append([]string(nil), addrs...), job.ln)
 	if err != nil {
 		return err
 	}
-	if conf.DieAfter > 0 && conf.DieNode == id && js.incarnation == 0 {
-		tr.dieAfter = int64(conf.DieAfter)
-		tr.onDie = func() { os.Exit(exitInjectedDeath) }
-	}
 	job.tr = tr
 	var ptr dist.Transport = tr
+	// The injected faults fire only in a slot's first incarnation: a
+	// substitute must not inherit the suicide it is substituting for.
+	if js.incarnation == 0 {
+		fe := &faultEndpoint{TCPEndpoint: tr, id: id}
+		if conf.KillAfter > 0 && conf.KillNode == id {
+			fe.killAfter = int64(conf.KillAfter)
+		}
+		if conf.DieAfter > 0 && conf.DieNode == id {
+			fe.dieAfter = int64(conf.DieAfter)
+		}
+		if fe.killAfter > 0 || fe.dieAfter > 0 {
+			ptr = fe
+		}
+	}
 	if conf.Faults.Active() {
-		ptr = dist.NewFaultTransport(tr, conf.Faults)
+		ptr = dist.NewFaultTransport(ptr, conf.Faults)
 	}
 	job.started = true
 	cfg := conf.distConfig()
@@ -875,4 +886,58 @@ func startJob(job *workerJob, w *ctlWriter, id int, conf clusterConf, addrs []st
 		}
 	}()
 	return nil
+}
+
+// faultEndpoint arms the injected KillAfter/DieAfter faults around a
+// node's data-plane endpoint. It counts outgoing peer data frames
+// (self-deliveries and resend traffic are exempt, so recovery itself
+// cannot re-trip a fault) and, exactly once each:
+//   - just before the dieAfter-th leaves, exits the whole process — the
+//     forced mid-chunk-stream death of the replacement scenarios;
+//   - just before the killAfter-th leaves, severs every outgoing
+//     connection and drops that frame with the rest of its
+//     same-destination run — the forced mid-stream socket failure of
+//     the reconnect scenario, recovered by per-chunk re-requests over
+//     fresh dials.
+//
+// Only a slot's first incarnation with a fault armed runs behind it;
+// every other worker sends through the bare endpoint.
+type faultEndpoint struct {
+	*dist.TCPEndpoint
+	id                  int
+	killAfter, dieAfter int64 // <= 0 disables
+	nsent               atomic.Int64
+}
+
+func (t *faultEndpoint) Send(f dist.Frame) error { return t.SendBatch([]dist.Frame{f}) }
+
+// SendBatch passes fs to the endpoint, cutting it at the frame that
+// trips a fault.
+func (t *faultEndpoint) SendBatch(fs []dist.Frame) error {
+	for i, f := range fs {
+		if f.To == t.id || f.Kind == dist.KindResend {
+			continue
+		}
+		n := t.nsent.Add(1)
+		if n == t.dieAfter {
+			os.Exit(exitInjectedDeath)
+		}
+		if n != t.killAfter {
+			continue
+		}
+		err := t.TCPEndpoint.SendBatch(fs[:i])
+		t.SeverOutgoing()
+		end := i + 1
+		for end < len(fs) && fs[end].To == f.To {
+			end++
+		}
+		if rest := t.SendBatch(fs[end:]); err == nil {
+			err = rest
+		}
+		if err == nil {
+			err = fmt.Errorf("proc: node %d: injected socket kill", t.id)
+		}
+		return err
+	}
+	return t.TCPEndpoint.SendBatch(fs)
 }

@@ -13,8 +13,9 @@ import (
 // The message layer of the simulated cluster. Reduce and AggregateByKey
 // are written against the Transport interface below, so the same
 // protocol code runs over in-process channels (ChanTransport, the
-// zero-copy path), real TCP sockets on loopback (TCPTransport), and any
-// of those wrapped in the fault-injection decorator (FaultTransport).
+// zero-copy path), real TCP sockets (TCPEndpoint: one per worker
+// process, or n on loopback as the in-process TCPTransport), and any of
+// those wrapped in the fault-injection decorator (FaultTransport).
 // Reproducibility never depends on the transport: partial states travel
 // as canonical rsum encodings, merging is order-independent, and the
 // protocols deduplicate frames, so delays, duplication, reordering, and
@@ -341,9 +342,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // the returned buffer, so it is valid only until the next ReadFrameBuf
 // (or any other write) on that buffer. A component that retains the
 // payload past that point — a mailbox queue, a reassembly stash, a
-// resend cache — must copy it first (copy-on-retain). The socket read
-// loops of TCPTransport and the multi-process runtime enforce this rule
-// at the mailbox boundary; TestReadFrameBufOwnership pins it down.
+// resend cache — must copy it first (copy-on-retain). TCPEndpoint's
+// socket read loop enforces this rule at the mailbox boundary;
+// TestReadFrameBufOwnership pins it down.
 func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [frameHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -375,7 +376,7 @@ func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 
 // retainPayload returns f with its payload copied into a buffer f owns
 // — the copy-on-retain side of the ReadFrameBuf handoff rule, applied
-// by the socket read loops immediately before a frame crosses into the
+// by the socket read loop immediately before a frame crosses into the
 // mailbox (which retains it until the protocol consumes it, long after
 // the connection read buffer has been overwritten by the next frame).
 func retainPayload(f Frame) Frame {
@@ -413,9 +414,9 @@ type Transport interface {
 type TransportFactory func(n int) (Transport, error)
 
 // BatchSender is implemented by transports that can transmit a frame
-// list more efficiently than one Send per frame — the TCP transport
+// list more efficiently than one Send per frame — a TCP endpoint
 // coalesces a batch into buffered writes with a single flush per
-// (from, to) run, and the channel transport enqueues a run under one
+// destination run, and the channel transport enqueues a run under one
 // mailbox lock. Semantics are identical to calling Send in order;
 // sendChunks type-asserts for it, so decorators that must observe every
 // frame (fault injection, test counters) simply do not implement it and
@@ -426,7 +427,8 @@ type BatchSender interface {
 
 // mailboxes is the shared receive side of the built-in transports: one
 // unbounded inbox per node plus a close signal. ChanTransport embeds it
-// directly; TCPTransport feeds it from socket reader goroutines.
+// directly; a TCPEndpoint feeds it from socket reader goroutines and
+// its own self-addressed sends.
 // Inboxes are unbounded because chunked streams make the worst-case
 // fan-in unknowable at transport construction: with any fixed capacity,
 // two nodes exchanging chunk floods could each block in Send on the
@@ -481,7 +483,6 @@ func (m *mailboxes) deliver(f Frame) error {
 	case b.sig <- struct{}{}:
 	default:
 	}
-	mChanFrames.Inc()
 	return nil
 }
 
@@ -506,7 +507,6 @@ func (m *mailboxes) deliverBatch(fs []Frame) error {
 	case b.sig <- struct{}{}:
 	default:
 	}
-	mChanFrames.Add(uint64(len(fs)))
 	return nil
 }
 
@@ -564,7 +564,13 @@ func NewChanTransport(n int) *ChanTransport {
 }
 
 // Send delivers f to node f.To. Destinations out of range are rejected.
-func (t *ChanTransport) Send(f Frame) error { return t.deliver(f) }
+func (t *ChanTransport) Send(f Frame) error {
+	if err := t.deliver(f); err != nil {
+		return err
+	}
+	mChanFrames.Inc()
+	return nil
+}
 
 // SendBatch delivers a frame list, taking each destination's inbox lock
 // once per run of equal-To frames instead of once per frame.
@@ -575,7 +581,9 @@ func (t *ChanTransport) SendBatch(fs []Frame) error {
 		for end < len(fs) && fs[end].To == fs[start].To {
 			end++
 		}
-		if err := t.deliverBatch(fs[start:end]); err != nil && firstErr == nil {
+		if err := t.deliverBatch(fs[start:end]); err == nil {
+			mChanFrames.Add(uint64(end - start))
+		} else if firstErr == nil {
 			firstErr = err
 		}
 		start = end

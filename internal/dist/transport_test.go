@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -566,8 +567,10 @@ func TestHostileChunksRejected(t *testing.T) {
 }
 
 // TestTCPSendRedialsAfterConnFailure: a broken cached connection must
-// not poison the (from, to) pair forever — the next Send re-dials, so
-// straggler retransmissions can actually recover.
+// not poison an endpoint's pipe to a peer forever — the next Send
+// re-dials, so straggler retransmissions can actually recover. The
+// pipe belongs to node 1's TCPEndpoint, the dial and reset code a
+// worker process runs.
 func TestTCPSendRedialsAfterConnFailure(t *testing.T) {
 	tr, err := NewTCPTransport(2)
 	if err != nil {
@@ -583,7 +586,7 @@ func TestTCPSendRedialsAfterConnFailure(t *testing.T) {
 	}
 
 	// Break the cached connection behind Send's back.
-	p := tr.pipe(1, 0)
+	p := tr.nodes[1].pipe(0)
 	p.mu.Lock()
 	p.c.Close()
 	p.mu.Unlock()
@@ -602,6 +605,217 @@ func TestTCPSendRedialsAfterConnFailure(t *testing.T) {
 		if _, err := tr.Recv(0, 100*time.Millisecond); err == nil {
 			return // delivered over the re-dialed connection
 		}
+	}
+}
+
+// TestTCPSeverOutgoingRedials: SeverOutgoing may race any number of
+// sends — frames on the severed sockets may be lost, nothing deadlocks
+// — and afterwards the next send re-dials and gets through.
+func TestTCPSeverOutgoingRedials(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			_ = tr.Send(Frame{Kind: KindPartial, From: 1, To: 0, Seq: uint32(i), Chunks: 1, Payload: []byte("lossy")})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			tr.nodes[1].SeverOutgoing()
+		}
+	}()
+	wg.Wait()
+	tr.nodes[1].SeverOutgoing()
+	last := Frame{Kind: KindPartial, From: 1, To: 0, Seq: 1000, Chunks: 1, Payload: []byte("after")}
+	if err := tr.Send(last); err != nil {
+		t.Fatalf("send after sever: %v", err)
+	}
+	for {
+		f, err := tr.Recv(0, 2*time.Second)
+		if err != nil {
+			t.Fatalf("frame sent after the sever never arrived: %v", err)
+		}
+		if f.Seq == last.Seq {
+			return
+		}
+	}
+}
+
+// TestTCPEndpointUpdatePeer: re-pointing a peer at a replacement's
+// listener drops the cached pipe, so the next send reaches the
+// replacement, not the stale address.
+func TestTCPEndpointUpdatePeer(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	f := Frame{Kind: KindPartial, From: 1, To: 0, Chunks: 1, Payload: []byte("partial")}
+	if err := tr.Send(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Recv(0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewTCPEndpoint(0, []string{ln.Addr().String(), ""}, ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Nodes() != 2 {
+		t.Fatalf("Nodes = %d, want 2", sub.Nodes())
+	}
+	tr.nodes[1].UpdatePeer(0, ln.Addr().String())
+	f.Seq = 1
+	if err := tr.Send(f); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sub.Recv(0, 2*time.Second); err != nil || got.Seq != 1 {
+		t.Fatalf("replacement received %+v, %v", got, err)
+	}
+	if got, err := tr.Recv(0, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stale node 0 still received %+v (%v)", got, err)
+	}
+	if _, err := NewTCPEndpoint(2, []string{"a", "b"}, ln); err == nil {
+		t.Fatal("endpoint id outside the address table accepted")
+	}
+}
+
+// TestTCPSelfSendByReference: a self-addressed frame on the in-process
+// TCP transport is delivered by reference, as it is in a worker
+// process and on ChanTransport — intact, without touching a socket.
+func TestTCPSelfSendByReference(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	wire, byRef := mFramesOut.Value(), mChanFrames.Value()
+	payload := []byte("own partition")
+	if err := tr.Send(Frame{Kind: KindGroups, From: 1, To: 1, Seq: 4, Chunks: 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := tr.Recv(1, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != KindGroups || f.From != 1 || f.Seq != 4 || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("self-send arrived as %+v", f)
+	}
+	if &f.Payload[0] != &payload[0] {
+		t.Error("self-send payload was copied, want delivery by reference")
+	}
+	if d := mFramesOut.Value() - wire; d != 0 {
+		t.Errorf("repro_dist_wire_frames_out_total moved by %d on a self-send, want 0", d)
+	}
+	if d := mChanFrames.Value() - byRef; d != 1 {
+		t.Errorf("repro_dist_chan_frames_total moved by %d on a self-send, want 1", d)
+	}
+}
+
+// TestTCPCrossNodeCountsWireOnly: frames that cross a socket move the
+// wire counters and leave the by-reference counter alone.
+func TestTCPCrossNodeCountsWireOnly(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	out, in, byRef := mFramesOut.Value(), mFramesIn.Value(), mChanFrames.Value()
+	const frames = 11
+	for i := 0; i < frames; i++ {
+		if err := tr.Send(Frame{Kind: KindPartial, From: i % 2, To: 1 - i%2, Seq: uint32(i), Chunks: 1, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ {
+		if _, err := tr.Recv(1-i%2, 2*time.Second); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+	}
+	if d := mFramesOut.Value() - out; d != frames {
+		t.Errorf("wire frames out moved by %d, want %d", d, frames)
+	}
+	if d := mFramesIn.Value() - in; d != frames {
+		t.Errorf("wire frames in moved by %d, want %d", d, frames)
+	}
+	if d := mChanFrames.Value() - byRef; d != 0 {
+		t.Errorf("repro_dist_chan_frames_total moved by %d for socket traffic, want 0", d)
+	}
+}
+
+// TestTCPRejectsOutOfRangeSender: in-process TCP routes by Frame.From,
+// so a sender outside the cluster is an error, not a frame that
+// reaches some node anyway.
+func TestTCPRejectsOutOfRangeSender(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, from := range []int{-1, 2, 7} {
+		f := Frame{Kind: KindPartial, From: from, To: 1, Chunks: 1, Payload: []byte("x")}
+		if err := tr.Send(f); err == nil {
+			t.Errorf("Send from node %d accepted", from)
+		}
+		ok := Frame{Kind: KindPartial, From: 0, To: 1, Seq: 1, Chunks: 1}
+		if err := tr.SendBatch([]Frame{f, ok}); err == nil {
+			t.Errorf("SendBatch with a frame from node %d accepted", from)
+		}
+		// The valid run of the batch is still attempted.
+		if got, err := tr.Recv(1, 2*time.Second); err != nil || got.From != 0 {
+			t.Fatalf("valid frame after a rejected one: %+v, %v", got, err)
+		}
+	}
+	if f, err := tr.Recv(1, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("a frame from an out-of-range sender arrived: %+v (%v)", f, err)
+	}
+}
+
+// TestMailboxes pins the shared receive side directly: delivery,
+// batched delivery, receive timeout, and idempotent close.
+func TestMailboxes(t *testing.T) {
+	mb := newMailboxes(2)
+	if mb.Nodes() != 2 {
+		t.Fatalf("Nodes = %d, want 2", mb.Nodes())
+	}
+	if err := mb.deliver(Frame{Kind: KindPartial, To: 1, Chunks: 1, Payload: []byte{1}}); err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	batch := []Frame{
+		{Kind: KindPartial, To: 1, Seq: 1, Chunks: 1},
+		{Kind: KindPartial, To: 1, Seq: 2, Chunks: 1},
+	}
+	if err := mb.deliverBatch(batch); err != nil {
+		t.Fatalf("deliverBatch: %v", err)
+	}
+	for want := 0; want < 3; want++ {
+		if _, err := mb.Recv(1, time.Second); err != nil {
+			t.Fatalf("Recv %d: %v", want, err)
+		}
+	}
+	if _, err := mb.Recv(1, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("empty Recv: %v, want ErrTimeout", err)
+	}
+	mb.close()
+	mb.close() // idempotent
+	if err := mb.deliver(Frame{To: 0, Chunks: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("deliver after close: %v, want ErrClosed", err)
+	}
+	if _, err := mb.Recv(0, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after close: %v, want ErrClosed", err)
 	}
 }
 

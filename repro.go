@@ -254,10 +254,12 @@ type FaultPlan = dist.FaultPlan
 // transport with no injected faults.
 type DistOption func(*dist.Config)
 
-// WithTCPTransport routes partial aggregates through real TCP sockets
-// on loopback — one listener per simulated node, frames length-prefixed
-// and CRC-protected — instead of in-process channels. The result bits
-// are identical to every other transport.
+// WithTCPTransport routes partial aggregates between nodes through real
+// TCP sockets on loopback — one listener per simulated node, frames
+// length-prefixed and CRC-protected, the socket code a worker process
+// runs — instead of in-process channels. A node's frames to itself are
+// delivered by reference. The result bits are identical to every other
+// transport.
 func WithTCPTransport() DistOption {
 	return func(c *dist.Config) { c.NewTransport = dist.TCPTransportFactory }
 }
